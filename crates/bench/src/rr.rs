@@ -484,15 +484,18 @@ fn run_scenario(sc: Scenario, fault: &FaultConfig, session: &Arc<Session>) -> Ru
     let run = build(sc, fault, session);
 
     // Trace-id watermarks bracket the run: every id the run allocates is
-    // strictly between them, so spans from earlier (or parallel,
-    // lock-excluded) activity are filtered out of the capture.
+    // strictly between them, so spans from earlier activity are filtered
+    // out of the capture. Every scenario makes its calls on this thread,
+    // so only this thread's ring is read: tests running in parallel
+    // allocate ids inside the window too, and record spans while the
+    // recorder is on.
     let lo = TraceId::next().raw();
     obs::flight::enable();
     let (ok, err) = drive(&run, sc);
     obs::flight::disable();
     let hi = TraceId::next().raw();
 
-    let mut spans: Vec<SpanRecord> = obs::flight::snapshot()
+    let mut spans: Vec<SpanRecord> = obs::flight::snapshot_this_thread()
         .into_iter()
         .filter(|s| s.trace.raw() > lo && s.trace.raw() < hi)
         .collect();

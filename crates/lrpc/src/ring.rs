@@ -9,14 +9,17 @@
 //! consecutive rings coalesce while the server has not drained), and a
 //! paired **completion ring** the server posts results into.
 //!
-//! The per-call work — stub marshaling through the A-stack, linkage and
-//! Binding-Object validation, E-stack association, dispatch, result
-//! fetch — is *identical* to the serial path in [`crate::call`], charged
-//! to each call's own meter. Only the per-crossing costs (traps, kernel
-//! transfer, context switches) move onto the batch meter, paid once per
-//! doorbell instead of once per call. Three ring-descriptor queue
-//! operations per call (enqueue, drain, completion reap) are the price
-//! of admission, also on the batch meter.
+//! A batched call runs the same four per-call stages as a serial one
+//! ([`crate::call::Call`]): `client_push`, `serve` and `complete` are
+//! shared code, charged to each call's own meter. Only the crossing
+//! differs. Where a serial call crosses directly, with a trap pair, a
+//! validation and two context switches of its own, a batch crosses by
+//! *doorbell*: `push×N → doorbell in → serve×N → doorbell out →
+//! complete×N`. The doorbell crossing pays its traps, kernel transfers
+//! and context switches once per flush, on the batch meter, and still
+//! validates and claims each call's A-stack linkage. Three
+//! ring-descriptor queue operations per call (enqueue, drain, completion
+//! reap) are the price of admission, also on the batch meter.
 //!
 //! Ring decisions (enqueue slot, doorbell outcome, drain order) flow
 //! through the binding's `ring:{interface}` record/replay stream, so a
@@ -30,28 +33,20 @@ use std::task::{Context, Poll, Waker};
 
 use parking_lot::Mutex;
 
-use firefly::cost::CostModel;
-use firefly::cpu::{Cpu, Machine};
+use firefly::cpu::Cpu;
 use firefly::mem::Region;
-use firefly::meter::{Meter, Phase, TraceId};
+use firefly::meter::{Meter, Phase};
 use firefly::time::Nanos;
 use firefly::vm::VmContext;
-use idl::copyops::{CopyLog, CopyOp};
-use idl::plan::ArgVec;
-use idl::stubvm::{needs_server_copy, OobStore, StubVm};
 use idl::wire::Value;
 use kernel::kernel::Kernel;
 use kernel::objects::RawHandle;
 use kernel::sched::Doorbell;
-use kernel::thread::{Linkage, ReturnPath, Thread};
+use kernel::thread::{Thread, ThreadStatus};
 use kernel::Domain;
 
-use crate::astack::LinkageSlot;
-use crate::binding::{Binding, BindingState, Reply, ServerCtx};
-use crate::call::{
-    charge, charge_locked, lrpc_call, touch_set, AStackFrame, CallGuard, CallOutcome, OobTransport,
-    ASTACK_QUEUE_LOCK, ESTACK_ALLOC_COST, OOB_SEGMENT_COST, OVERFLOW_VALIDATION_COST,
-};
+use crate::binding::{Binding, BindingState};
+use crate::call::{charge, lrpc_call, return_to_caller, Call, CallEnv, CallOutcome};
 use crate::error::CallError;
 use crate::runtime::LrpcRuntime;
 
@@ -198,16 +193,6 @@ impl CallRing {
     /// The client's doorbell.
     pub fn doorbell(&self) -> &Doorbell {
         &self.doorbell
-    }
-
-    /// The shared `lrpc_doorbells_total` counter.
-    pub(crate) fn doorbells_total(&self) -> &obs::Counter {
-        &self.doorbells_total
-    }
-
-    /// Consumes the pending doorbell on the server side.
-    pub(crate) fn take_doorbell(&self) -> bool {
-        self.doorbell.take()
     }
 
     /// Drops every enqueued descriptor (crossing-level abort).
@@ -416,736 +401,243 @@ fn clone_err(e: &CallError) -> CallError {
     }
 }
 
-/// Everything the batch engine threads through its helpers.
-struct BatchEnv<'a> {
-    rt: &'a Arc<LrpcRuntime>,
-    machine: &'a Arc<Machine>,
-    cost: CostModel,
-    state: &'a Arc<BindingState>,
-    ring: &'a CallRing,
-    cpu: &'a Cpu,
-    thread: &'a Arc<Thread>,
-    handle: RawHandle,
-    metered: bool,
-    fault: Option<Arc<firefly::fault::FaultPlan>>,
-    doorbell_site: String,
-}
-
-/// One enqueued-but-not-completed call: everything the drain and reap
-/// halves need, owned across the crossing.
-struct PendingCall {
+/// One call enqueued on the submission ring and not yet reaped.
+struct Queued<'a> {
     /// Position in the request (and results) vector.
     index: usize,
-    proc_index: usize,
-    class: usize,
-    astack_idx: usize,
     slot: u32,
     seq: u32,
-    start: Nanos,
-    trace: TraceId,
-    meter: Meter,
-    copies: CopyLog,
-    /// Out-of-band store: in-direction segments from the client push,
-    /// out-direction segments appended by the server place.
-    oob: OobStore,
-    transport: Option<OobTransport>,
-    bulk_chunk: Option<usize>,
-    oob_region: Option<Arc<Region>>,
-    linkage_slot: Option<Arc<LinkageSlot>>,
-    estack_key: Option<u64>,
-    reply: Option<Reply>,
+    call: Call<'a>,
+    /// Why the call failed at the crossing or in the server. A failed call
+    /// keeps its resources until its completion is reaped, so A-stacks
+    /// return to their queue in slot order whether or not calls failed.
     error: Option<CallError>,
 }
 
-/// Releases everything a failed pending call still holds.
-fn release_resources(env: &BatchEnv<'_>, pc: &mut PendingCall) {
-    if let Some(slot) = pc.linkage_slot.take() {
-        slot.release();
-    }
-    if let Some(key) = pc.estack_key.take() {
-        env.state.estack_pool.end_call(key);
-    }
-    if let Some(chunk) = pc.bulk_chunk.take() {
-        if let Some(arena) = &env.state.bulk {
-            arena.release(chunk);
-        }
-    }
-    if let Some(region) = pc.oob_region.take() {
-        env.state.client.ctx().unmap(region.id());
-        env.state.server.ctx().unmap(region.id());
-        env.machine.mem().free(region.id());
-    }
-    env.state.astacks.release(pc.astack_idx);
-}
-
-/// Client half of one batched call: stub marshal onto a fresh A-stack,
-/// out-of-band setup, and the ring-descriptor enqueue. Mirrors the serial
-/// path byte for byte; per-call costs go on the call's own meter, the
-/// ring op on the batch meter.
-fn enqueue_one(
-    env: &BatchEnv<'_>,
-    batch_meter: &mut Meter,
-    index: usize,
-    proc_index: usize,
-    args: &[Value],
+/// A batch in progress over one binding's ring.
+struct Batch<'a> {
+    env: &'a CallEnv<'a>,
+    ring: &'a CallRing,
+    cpu: &'a Cpu,
+    doorbell_site: String,
+    /// The crossing costs shared by the batch.
+    meter: Meter,
+    pending: Vec<Queued<'a>>,
+    results: Vec<Option<Result<CallOutcome, CallError>>>,
+    doorbells: u64,
+    traps: u64,
+    /// The calling thread was destroyed at a return crossing.
+    thread_dead: bool,
     seq: u32,
-) -> Result<PendingCall, CallError> {
-    let cpu = env.cpu;
-    let cost = &env.cost;
-    let state = env.state;
-    let mut meter = if env.metered {
-        Meter::enabled()
-    } else {
-        Meter::disabled()
-    };
-    let trace = TraceId::next();
-    meter.set_trace(trace);
-    let mut copies = CopyLog::new();
-    let start = cpu.now();
-
-    charge(
-        cpu,
-        &mut meter,
-        Phase::ProcedureCall,
-        cost.hw.procedure_call,
-    );
-
-    let proc = state
-        .interface
-        .procs
-        .get(proc_index)
-        .ok_or(CallError::BadProcedure { index: proc_index })?;
-    let plan = &state.plans.procs[proc_index];
-    let client_ctx = state.client.ctx();
-
-    // First call of the batch loads the client context; later calls find
-    // it already loaded and this is free. Crossing cost → batch meter.
-    cpu.switch_context(client_ctx.id(), cost, batch_meter);
-
-    charge(cpu, &mut meter, Phase::ClientStub, cost.client_stub_call);
-    touch_set(cpu, state.touch.client_call().iter().copied(), &mut meter);
-
-    let class = state.astacks.class_of_proc(proc_index);
-    let astack_idx = state.astacks.acquire(
-        class,
-        env.rt.config().astack_policy,
-        env.rt.kernel(),
-        &state.client,
-        &state.server,
-    )?;
-    charge_locked(
-        cpu,
-        &mut meter,
-        Phase::QueueOp,
-        cost.astack_queue_op,
-        ASTACK_QUEUE_LOCK,
-    );
-
-    let mut guard = CallGuard {
-        state,
-        thread: env.thread,
-        machine: env.machine,
-        astack: Some(astack_idx),
-        slot: None,
-        pool: None,
-        bulk_chunk: None,
-        oob_region: None,
-        linkage_pushed: false,
-    };
-
-    let aref = state
-        .astacks
-        .lookup(astack_idx)
-        .ok_or(CallError::BadAStack)?;
-    touch_set(cpu, aref.region.pages_for(aref.offset, 1), &mut meter);
-
-    // Copy A of Table 3: push the arguments onto the shared A-stack.
-    let mut oob = OobStore::new();
-    {
-        let mut frame = AStackFrame::new(cpu, client_ctx, &aref.region, aref.offset, aref.size);
-        let mut vm = StubVm::new(cost, cpu, &mut meter);
-        match &plan.push {
-            Some(p) => p.execute(proc, args, &mut frame, &mut vm)?,
-            None => vm.client_push_args(proc, args, &mut frame, &mut oob)?,
-        }
-        let misses = frame.misses();
-        meter.add_tlb_misses(misses);
-    }
-    if env.metered {
-        for (slot_l, p) in proc.layout.params.iter().zip(&proc.def.params) {
-            if p.dir.is_in() {
-                copies.record(CopyOp::A, slot_l.size);
-            }
-        }
-    }
-
-    // Out-of-band transport, exactly as the serial path: bulk-arena chunk
-    // in steady state, per-call pairwise segment as the fallback.
-    let transport = if oob.is_empty() {
-        None
-    } else {
-        let total: usize = oob.iter().map(|s| s.len() + 8).sum();
-        state.stats.observe_bulk_bytes(total as u64);
-        let exhausted = matches!(&env.fault, Some(plan) if plan.exhaust_bulk("call:bulk"));
-        let chunk = if exhausted {
-            None
-        } else {
-            state.bulk.as_ref().and_then(|a| a.acquire(total))
-        };
-        let (region, base) = match chunk {
-            Some(c) => {
-                guard.bulk_chunk = Some(c.index);
-                let arena = state.bulk.as_ref().expect("chunk implies arena");
-                (Arc::clone(arena.region()), c.offset)
-            }
-            None => {
-                state.stats.note_bulk_fallback();
-                charge(cpu, &mut meter, Phase::OobSegment, OOB_SEGMENT_COST);
-                let region = env.rt.kernel().map_pairwise(
-                    "oob-segment",
-                    &state.client,
-                    &state.server,
-                    total.max(8),
-                );
-                guard.oob_region = Some(Arc::clone(&region));
-                (region, 0)
-            }
-        };
-        let mut off = base;
-        let mut scratch = Meter::disabled();
-        for seg in &oob {
-            let mut hdr = [0u8; 8];
-            hdr[..4].copy_from_slice(&(seg.len() as u32).to_le_bytes());
-            region.write_raw(off, &hdr).map_err(CallError::Mem)?;
-            region.write_raw(off + 8, seg).map_err(CallError::Mem)?;
-            cpu.touch_pages(region.pages_for(off, seg.len() + 8), &mut scratch);
-            off += seg.len() + 8;
-        }
-        Some(OobTransport { region, base })
-    };
-
-    // The descriptor write replaces the serial path's register setup +
-    // trap: one ring-descriptor queue op on the batch meter.
-    let slot = env
-        .ring
-        .enqueue(cpu, client_ctx, proc_index, astack_idx, seq)?;
-    charge(cpu, batch_meter, Phase::QueueOp, cost.ring_descriptor_op);
-
-    let bulk_chunk = guard.bulk_chunk.take();
-    let oob_region = guard.oob_region.take();
-    guard.disarm();
-
-    Ok(PendingCall {
-        index,
-        proc_index,
-        class,
-        astack_idx,
-        slot,
-        seq,
-        start,
-        trace,
-        meter,
-        copies,
-        oob,
-        transport,
-        bulk_chunk,
-        oob_region,
-        linkage_slot: None,
-        estack_key: None,
-        reply: None,
-        error: None,
-    })
 }
 
-/// Server half of one drained call: E-stack association, stub read,
-/// dispatch, stub place. Runs in the server's context on the migrated
-/// client thread. Everything on the call's own meter.
-fn serve_one(env: &BatchEnv<'_>, pc: &mut PendingCall) -> Result<(), CallError> {
-    let cpu = env.cpu;
-    let cost = &env.cost;
-    let state = env.state;
-    let server_ctx = state.server.ctx();
-    let proc = &state.interface.procs[pc.proc_index];
-    let plan = &state.plans.procs[pc.proc_index];
-    let aref = state
-        .astacks
-        .lookup(pc.astack_idx)
-        .ok_or(CallError::BadAStack)?;
-
-    // Lazy E-stack association, keyed by the A-stack's global identity.
-    let astack_key = (aref.region.id().0 << 24) | pc.astack_idx as u64;
-    let (estack, fresh) = state.estack_pool.get_for_call(env.rt.kernel(), astack_key);
-    pc.estack_key = Some(astack_key);
-    if fresh {
-        charge(cpu, &mut pc.meter, Phase::Other, ESTACK_ALLOC_COST);
-    }
-    env.thread.set_user_sp(estack.id().0 << 32);
-    let mut frame_header = [0u8; 16];
-    frame_header[..4].copy_from_slice(&(pc.proc_index as u32).to_le_bytes());
-    frame_header[4..8].copy_from_slice(&(pc.astack_idx as u32).to_le_bytes());
-    frame_header[8..].copy_from_slice(&0xF1FE_F1FE_CA11_F4A3u64.to_le_bytes());
-    estack.write_raw(0, &frame_header).map_err(CallError::Mem)?;
-
-    charge(
-        cpu,
-        &mut pc.meter,
-        Phase::ServerStub,
-        cost.server_stub_entry,
-    );
-    touch_set(
-        cpu,
-        state.touch.server_side().iter().copied(),
-        &mut pc.meter,
-    );
-    touch_set(cpu, aref.region.pages_for(aref.offset, 1), &mut pc.meter);
-
-    // Rebuild the out-of-band store under the server's protection context.
-    let server_oob: OobStore = match &pc.transport {
-        None => OobStore::new(),
-        Some(t) => {
-            server_ctx
-                .check(t.region.id(), false, false)
-                .map_err(CallError::Mem)?;
-            let mut segs = OobStore::new();
-            let mut off = t.base;
-            let mut scratch = Meter::disabled();
-            for _ in 0..pc.oob.len() {
-                let hdr = t.region.read_vec(off, 8).map_err(CallError::Mem)?;
-                let len = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]) as usize;
-                segs.push(t.region.read_vec(off + 8, len).map_err(CallError::Mem)?);
-                cpu.touch_pages(t.region.pages_for(off, len + 8), &mut scratch);
-                off += len + 8;
-            }
-            segs
-        }
-    };
-
-    let sargs = {
-        let frame = AStackFrame::new(cpu, server_ctx, &aref.region, aref.offset, aref.size);
-        let mut vm = StubVm::new(cost, cpu, &mut pc.meter);
-        let vals = match &plan.read {
-            Some(rp) => {
-                let mut out = ArgVec::new();
-                rp.execute(&frame, &mut vm, &mut out)?;
-                out
-            }
-            None => ArgVec::from_vec(vm.server_read_args(proc, &frame, &server_oob)?),
-        };
-        let misses = frame.misses();
-        pc.meter.add_tlb_misses(misses);
-        vals
-    };
-    if env.metered {
-        for (slot_l, p) in proc.layout.params.iter().zip(&proc.def.params) {
-            if p.dir.is_in() && needs_server_copy(p, proc.def.inplace) {
-                pc.copies.record(CopyOp::E, slot_l.size);
-            }
-        }
+impl<'a> Batch<'a> {
+    /// Charges `amount` to the batch's CPU and crossing meter.
+    fn charge(&mut self, phase: Phase, amount: Nanos) {
+        charge(self.cpu, &mut self.meter, phase, amount);
     }
 
-    if !state.server.is_active() || !state.client.is_active() {
-        return Err(CallError::DomainDead);
+    /// Stage 1 for one call, then its ring descriptor: the descriptor
+    /// write replaces the serial path's register setup and trap, one
+    /// ring-descriptor queue op on the batch meter.
+    fn enqueue(
+        &mut self,
+        index: usize,
+        proc_index: usize,
+        args: &[Value],
+    ) -> Result<(), CallError> {
+        let mut call = Call::new(self.env, self.cpu, proc_index);
+        call.client_push(args, Some(&mut self.meter))?;
+        let slot = self.ring.enqueue(
+            self.cpu,
+            self.env.state.client.ctx(),
+            proc_index,
+            call.astack_index(),
+            self.seq,
+        )?;
+        self.charge(Phase::QueueOp, self.env.cost().ring_descriptor_op);
+        self.pending.push(Queued {
+            index,
+            slot,
+            seq: self.seq,
+            call,
+            error: None,
+        });
+        self.seq = self.seq.wrapping_add(1);
+        Ok(())
     }
 
-    let sctx = ServerCtx {
-        rt: Arc::clone(env.rt),
-        thread: Arc::clone(env.thread),
-        domain: Arc::clone(&state.server),
-        cpu_id: cpu.id(),
-    };
-    let reply = state
-        .clerk
-        .dispatch(pc.proc_index, &sctx, sargs.as_slice())?;
-
-    charge(
-        cpu,
-        &mut pc.meter,
-        Phase::ServerStub,
-        cost.server_stub_return,
-    );
-    {
-        let mut frame = AStackFrame::new(cpu, server_ctx, &aref.region, aref.offset, aref.size);
-        match &plan.place {
-            Some(p) => p.execute(reply.ret.as_ref(), &reply.outs, &mut frame)?,
-            None => {
-                let mut vm = StubVm::new(cost, cpu, &mut pc.meter);
-                vm.server_place_results(
-                    proc,
-                    reply.ret.as_ref(),
-                    &reply.outs,
-                    &mut frame,
-                    &mut pc.oob,
-                )?;
-            }
-        }
-        let misses = frame.misses();
-        pc.meter.add_tlb_misses(misses);
-    }
-    pc.reply = Some(reply);
-    Ok(())
-}
-
-/// Aborts a flushed batch at the crossing level (binding validation or
-/// domain liveness failed): every pending call fails with the same error,
-/// resources drain, and the ring is reset.
-fn abort_batch(
-    env: &BatchEnv<'_>,
-    pending: &mut Vec<PendingCall>,
-    results: &mut [Option<Result<CallOutcome, CallError>>],
-    e: &CallError,
-) {
-    env.ring.reset();
-    for mut pc in pending.drain(..) {
-        release_resources(env, &mut pc);
-        env.state.stats.note_failure();
-        results[pc.index] = Some(Err(clone_err(e)));
-    }
-}
-
-/// The return half of one reaped call: the return value plus the
-/// out-param values (by argument position) the client stub fetched.
-type FetchedResults = (Option<Value>, Vec<(usize, Value)>);
-
-/// Rings the doorbell and performs one full crossing: kernel validation,
-/// per-call linkage claims, context switch, server-side drain/dispatch of
-/// every pending call, completion posting, and the return crossing with
-/// per-call result fetch.
-#[allow(clippy::too_many_arguments)]
-fn flush(
-    env: &BatchEnv<'_>,
-    batch_meter: &mut Meter,
-    pending: &mut Vec<PendingCall>,
-    results: &mut [Option<Result<CallOutcome, CallError>>],
-    doorbells: &mut u64,
-    traps: &mut u64,
-    thread_dead: &mut bool,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let cpu = env.cpu;
-    let cost = &env.cost;
-    let state = env.state;
-    let client_ctx = state.client.ctx();
-    let server_ctx = state.server.ctx();
-
-    // ---- Doorbell -----------------------------------------------------
-    // One trap per doorbell — the whole point. A coalesced ring (server
-    // wakeup still pending) costs nothing; a lost doorbell (fault
-    // injection) must be rung again: two traps, still fewer than N.
-    let coalesced = env.ring.doorbell().ring();
-    let lost =
-        !coalesced && matches!(&env.fault, Some(plan) if plan.lose_doorbell(&env.doorbell_site));
-    env.ring.emit(
-        replay::kind::RING_DOORBELL,
-        if coalesced {
-            0
-        } else if lost {
-            2
-        } else {
-            1
-        },
-    );
-    if !coalesced {
-        if lost {
-            env.rt.kernel().trap(cpu, batch_meter);
-            *traps += 1;
-            *doorbells += 1;
-            env.ring.doorbells_total().inc();
-        }
-        env.rt.kernel().trap(cpu, batch_meter);
-        *traps += 1;
-        *doorbells += 1;
-        env.ring.doorbells_total().inc();
-    }
-
-    // ---- Kernel, call crossing (once per batch) -----------------------
-    charge(
-        cpu,
-        batch_meter,
-        Phase::KernelTransfer,
-        cost.kernel_transfer_call,
-    );
-    touch_set(cpu, state.touch.kernel_call().iter().copied(), batch_meter);
-
-    let handle = match &env.fault {
-        Some(plan) if plan.forge_binding("batch:binding") => RawHandle {
-            id: env.handle.id,
-            nonce: env.handle.nonce ^ 0xDEAD_BEEF,
-        },
-        _ => env.handle,
-    };
-    let vstate = match env.rt.validate_binding(handle) {
-        Ok(s) => s,
-        Err(e) => {
-            abort_batch(env, pending, results, &e);
+    /// Carries every pending call across one doorbell: doorbell in, then
+    /// per call a ring drain, E-stack association and `serve`, then the
+    /// doorbell out and per call `complete`.
+    fn flush(&mut self) {
+        if self.pending.is_empty() {
             return;
         }
-    };
-    if !vstate.server.is_active() || !vstate.client.is_active() {
-        abort_batch(env, pending, results, &CallError::DomainDead);
-        return;
-    }
+        let Some(linkage_pushed) = self.doorbell_in() else {
+            return;
+        };
 
-    // Per-call validation: A-stack, linkage claim. The linkage stack gets
-    // ONE entry per crossing — the batch migrates the thread once.
-    let return_sp = env.thread.user_sp();
-    let mut linkage_pushed = false;
-    for pc in pending.iter_mut() {
-        if pc.proc_index >= vstate.interface.procs.len() {
-            pc.error = Some(CallError::BadProcedure {
-                index: pc.proc_index,
+        // ---- Server drain: the whole batch per wakeup -----------------
+        let cpu = self.cpu;
+        let ring_op = self.env.cost().ring_descriptor_op;
+        let server_ctx = self.env.state.server.ctx();
+        for q in &mut self.pending {
+            let desc = self.ring.drain(cpu, server_ctx).ok().flatten();
+            charge(cpu, &mut self.meter, Phase::QueueOp, ring_op);
+            let matched = desc.is_some_and(|d| {
+                d.slot == q.slot
+                    && d.proc_index == q.call.proc_index
+                    && d.astack_idx == q.call.astack_index()
+                    && d.seq == q.seq
             });
-            continue;
-        }
-        let aref = match vstate.astacks.validate(pc.astack_idx, pc.class) {
-            Ok(a) => a,
-            Err(e) => {
-                pc.error = Some(e);
-                continue;
+            if !matched && q.error.is_none() {
+                q.error = Some(CallError::CallFailed);
             }
-        };
-        if aref.overflow {
-            charge(
-                cpu,
-                &mut pc.meter,
-                Phase::Validation,
-                OVERFLOW_VALIDATION_COST,
-            );
-        }
-        let slot = match vstate.astacks.linkage(pc.astack_idx) {
-            Some(s) => s,
-            None => {
-                pc.error = Some(CallError::BadAStack);
-                continue;
-            }
-        };
-        if !slot.try_claim() {
-            pc.error = Some(CallError::AStackBusy);
-            continue;
-        }
-        let linkage = Linkage {
-            caller_domain: vstate.client.id(),
-            callee_domain: vstate.server.id(),
-            binding: handle,
-            astack_index: pc.astack_idx,
-            proc_index: pc.proc_index,
-            return_sp,
-            valid: true,
-        };
-        slot.set_record(linkage);
-        if !linkage_pushed {
-            env.thread.push_linkage(linkage);
-            linkage_pushed = true;
-        }
-        pc.linkage_slot = Some(slot);
-    }
-
-    // ---- Transfer into the server domain (once per batch) -------------
-    cpu.switch_context(server_ctx.id(), cost, batch_meter);
-    env.ring.take_doorbell();
-
-    // ---- Server drain: the whole batch per wakeup ---------------------
-    for pc in pending.iter_mut() {
-        let desc = match env.ring.drain(cpu, server_ctx) {
-            Ok(Some(d)) => Some(d),
-            Ok(None) => None,
-            Err(_) => None,
-        };
-        charge(cpu, batch_meter, Phase::QueueOp, cost.ring_descriptor_op);
-        let matched = desc.as_ref().is_some_and(|d| {
-            d.slot == pc.slot
-                && d.proc_index == pc.proc_index
-                && d.astack_idx == pc.astack_idx
-                && d.seq == pc.seq
-        });
-        if !matched && pc.error.is_none() {
-            pc.error = Some(CallError::CallFailed);
-        }
-        if pc.error.is_none() {
-            if let Err(e) = serve_one(env, pc) {
-                pc.error = Some(e);
-            }
-        }
-        let status = u32::from(pc.error.is_some());
-        let _ = env
-            .ring
-            .post_completion(cpu, server_ctx, pc.slot, pc.seq, status);
-    }
-
-    // ---- Kernel, return crossing (once per batch) ---------------------
-    env.rt.kernel().trap(cpu, batch_meter);
-    *traps += 1;
-    charge(
-        cpu,
-        batch_meter,
-        Phase::KernelTransfer,
-        cost.kernel_transfer_return,
-    );
-    touch_set(
-        cpu,
-        state.touch.kernel_return().iter().copied(),
-        batch_meter,
-    );
-
-    for pc in pending.iter_mut() {
-        if let Some(slot) = pc.linkage_slot.take() {
-            slot.release();
-        }
-        if let Some(key) = pc.estack_key.take() {
-            state.estack_pool.end_call(key);
-        }
-    }
-
-    let mut crossing_error: Option<CallError> = None;
-    if linkage_pushed {
-        match env.thread.pop_linkage() {
-            ReturnPath::Return { to, call_failed } => {
-                env.thread.set_user_sp(to.return_sp);
-                if call_failed || to.caller_domain != vstate.client.id() {
-                    crossing_error = Some(CallError::CallFailed);
+            if q.error.is_none() {
+                if let Err(e) = q.call.associate_estack().and_then(|()| q.call.serve()) {
+                    q.error = Some(e);
                 }
             }
-            ReturnPath::DestroyThread => {
-                let aborted = env.thread.is_abandoned();
-                env.rt.kernel().reap_thread(env.thread.id());
-                *thread_dead = true;
-                crossing_error = Some(if aborted {
-                    CallError::CallAborted
-                } else {
-                    CallError::CallFailed
-                });
-            }
-        }
-    }
-    if let Some(e) = &crossing_error {
-        for pc in pending.iter_mut() {
-            if pc.error.is_none() {
-                pc.error = Some(clone_err(e));
-                pc.reply = None;
-            }
-        }
-    }
-
-    // ---- Transfer back and reap completions ---------------------------
-    if !*thread_dead {
-        cpu.switch_context(client_ctx.id(), cost, batch_meter);
-    }
-    for mut pc in pending.drain(..) {
-        if !*thread_dead {
-            let _ = env.ring.reap(cpu, client_ctx, pc.slot, pc.seq);
-            charge(cpu, batch_meter, Phase::QueueOp, cost.ring_descriptor_op);
-        }
-        if let Some(e) = pc.error.take() {
-            release_resources(env, &mut pc);
-            state.stats.note_failure();
-            results[pc.index] = Some(Err(e));
-            continue;
+            let status = u32::from(q.error.is_some());
+            let _ = self
+                .ring
+                .post_completion(cpu, server_ctx, q.slot, q.seq, status);
         }
 
-        // ---- Client stub, return half (per call) ----------------------
-        charge(
-            cpu,
-            &mut pc.meter,
-            Phase::ClientStub,
-            cost.client_stub_return,
-        );
-        touch_set(
-            cpu,
-            state.touch.client_return().iter().copied(),
-            &mut pc.meter,
-        );
-        let fetched = (|| -> Result<FetchedResults, CallError> {
-            let aref = state
-                .astacks
-                .lookup(pc.astack_idx)
-                .ok_or(CallError::BadAStack)?;
-            touch_set(cpu, aref.region.pages_for(aref.offset, 1), &mut pc.meter);
-            let proc = &state.interface.procs[pc.proc_index];
-            let plan = &state.plans.procs[pc.proc_index];
-            let frame = AStackFrame::new(cpu, client_ctx, &aref.region, aref.offset, aref.size);
-            let mut vm = StubVm::new(cost, cpu, &mut pc.meter);
-            let r = match &plan.fetch {
-                Some(p) => p.execute(&frame, &mut vm)?,
-                None => vm.client_fetch_results(proc, &frame, &pc.oob)?,
+        self.doorbell_out(linkage_pushed);
+
+        // ---- Reap completions ------------------------------------------
+        let state = self.env.state;
+        for q in self.pending.drain(..) {
+            if !self.thread_dead {
+                let _ = self.ring.reap(cpu, state.client.ctx(), q.slot, q.seq);
+                charge(cpu, &mut self.meter, Phase::QueueOp, ring_op);
+            }
+            let result = match q.error {
+                Some(e) => {
+                    drop(q.call);
+                    Err(e)
+                }
+                None => q.call.complete(),
             };
-            let misses = frame.misses();
-            pc.meter.add_tlb_misses(misses);
-            Ok(r)
-        })();
-        let (ret, outs) = match fetched {
-            Ok(r) => r,
-            Err(e) => {
-                release_resources(env, &mut pc);
+            if result.is_err() {
                 state.stats.note_failure();
-                results[pc.index] = Some(Err(e));
-                continue;
+            }
+            self.results[q.index] = Some(result);
+        }
+        if self.thread_dead {
+            self.ring.reset();
+        }
+    }
+
+    /// The doorbell crossing into the server, on the batch meter: the
+    /// doorbell trap, one Binding Object validation, each call's
+    /// validation and linkage claim, one context switch. Returns whether
+    /// the batch's linkage was pushed, or `None` if the crossing aborted
+    /// the whole batch.
+    fn doorbell_in(&mut self) -> Option<bool> {
+        let env = self.env;
+        let cpu = self.cpu;
+        let cost = env.cost();
+        // One trap per doorbell — the whole point. A coalesced ring (server
+        // wakeup still pending) costs nothing; a lost doorbell (fault
+        // injection) must be rung again: two traps, still fewer than N.
+        let coalesced = self.ring.doorbell().ring();
+        let lost = !coalesced
+            && matches!(&env.fault, Some(plan) if plan.lose_doorbell(&self.doorbell_site));
+        self.ring.emit(
+            replay::kind::RING_DOORBELL,
+            if coalesced {
+                0
+            } else if lost {
+                2
+            } else {
+                1
+            },
+        );
+        if !coalesced {
+            let rings = if lost { 2 } else { 1 };
+            for _ in 0..rings {
+                env.rt.kernel().trap(cpu, &mut self.meter);
+                self.ring.doorbells_total.inc();
+            }
+            self.traps += rings;
+            self.doorbells += rings;
+        }
+
+        self.charge(Phase::KernelTransfer, cost.kernel_transfer_call);
+        cpu.touch_pages(
+            env.state.touch.kernel_call().iter().copied(),
+            &mut self.meter,
+        );
+        let (handle, vstate) = match env.validate_binding("batch:binding") {
+            Ok(v) => v,
+            Err(e) => {
+                // Every pending call fails with the crossing's error, and
+                // the ring is reset.
+                self.ring.reset();
+                for q in self.pending.drain(..) {
+                    drop(q.call);
+                    env.state.stats.note_failure();
+                    self.results[q.index] = Some(Err(clone_err(&e)));
+                }
+                return None;
             }
         };
-        if env.metered {
-            let proc = &state.interface.procs[pc.proc_index];
-            if proc.layout.ret.is_some() {
-                pc.copies
-                    .record(CopyOp::F, proc.layout.ret.as_ref().map_or(0, |s| s.size));
+        // The linkage stack gets ONE entry per crossing — the batch
+        // migrates the thread once.
+        let mut linkage_pushed = false;
+        for q in &mut self.pending {
+            match q.call.admit(&vstate, handle) {
+                Ok(linkage) if !linkage_pushed => {
+                    env.thread.push_linkage(linkage);
+                    linkage_pushed = true;
+                }
+                Ok(_) => {}
+                Err(e) => q.error = Some(e),
             }
-            for (slot_l, p) in proc.layout.params.iter().zip(&proc.def.params) {
-                if p.dir.is_out() {
-                    pc.copies.record(CopyOp::F, slot_l.size);
+        }
+        cpu.switch_context(env.state.server.ctx().id(), cost, &mut self.meter);
+        self.ring.doorbell.take();
+        Some(linkage_pushed)
+    }
+
+    /// The doorbell crossing back, on the batch meter: one return trap,
+    /// each call's linkage release, the batch's linkage pop, one context
+    /// switch. A failed pop fails every call still standing.
+    fn doorbell_out(&mut self, linkage_pushed: bool) {
+        let env = self.env;
+        let cpu = self.cpu;
+        env.rt.kernel().trap(cpu, &mut self.meter);
+        self.traps += 1;
+        self.charge(Phase::KernelTransfer, env.cost().kernel_transfer_return);
+        cpu.touch_pages(
+            env.state.touch.kernel_return().iter().copied(),
+            &mut self.meter,
+        );
+        for q in &mut self.pending {
+            q.call.leave_server();
+        }
+        if linkage_pushed {
+            if let Err(e) = return_to_caller(env) {
+                self.thread_dead = env.thread.status() == ThreadStatus::Destroyed;
+                for q in &mut self.pending {
+                    if q.error.is_none() {
+                        q.error = Some(clone_err(&e));
+                    }
                 }
             }
         }
-
-        if let Some(idx) = pc.bulk_chunk.take() {
-            if let Some(arena) = &state.bulk {
-                arena.release(idx);
-            }
+        if !self.thread_dead {
+            cpu.switch_context(env.state.client.ctx().id(), env.cost(), &mut self.meter);
         }
-        if let Some(region) = pc.oob_region.take() {
-            state.client.ctx().unmap(region.id());
-            state.server.ctx().unmap(region.id());
-            env.machine.mem().free(region.id());
-        }
-        state.astacks.release(pc.astack_idx);
-        charge_locked(
-            cpu,
-            &mut pc.meter,
-            Phase::QueueOp,
-            cost.astack_queue_op,
-            ASTACK_QUEUE_LOCK,
-        );
-
-        let elapsed = cpu.now() - pc.start;
-        state.stats.note_call();
-        state.stats.observe_latency(elapsed);
-        state.stats.observe_tail_latency(elapsed);
-        if env.metered {
-            state.stats.observe_stub_ns(
-                pc.meter.total_for(Phase::ClientStub)
-                    + pc.meter.total_for(Phase::ServerStub)
-                    + pc.meter.total_for(Phase::ArgCopy)
-                    + pc.meter.total_for(Phase::Marshal),
-            );
-        }
-        results[pc.index] = Some(Ok(CallOutcome {
-            ret,
-            outs,
-            elapsed,
-            meter: pc.meter,
-            copies: pc.copies,
-            exchanged_on_call: false,
-            exchanged_on_return: false,
-            end_cpu: cpu.id(),
-            trace: pc.trace,
-        }));
-    }
-    if *thread_dead {
-        env.ring.reset();
     }
 }
 
-/// The batched call path: enqueue every request onto the submission ring
-/// (flushing whenever it fills), ring the doorbell once per flush, and
-/// reap completions. Remote and ringless bindings degrade to serial
+/// The batched call path: `client_push` every request onto the submission
+/// ring (flushing whenever it fills), ring the doorbell once per flush,
+/// and reap completions. Remote and ringless bindings degrade to serial
 /// calls, as do calls the `ring_full` fault knob rejects.
 pub(crate) fn lrpc_call_batch(
     rt: &Arc<LrpcRuntime>,
@@ -1158,28 +650,35 @@ pub(crate) fn lrpc_call_batch(
 ) -> Result<BatchOutcome, CallError> {
     let n = requests.len();
     client_state.stats.observe_batch_size(n as u64);
+    // A call that cannot ride the ring: the serial path, with a trap pair
+    // of its own.
+    let serial = |cpu_id: usize, proc_index: usize, args: &[Value]| {
+        let out = lrpc_call(
+            rt,
+            handle,
+            client_state,
+            cpu_id,
+            thread,
+            proc_index,
+            args,
+            metered,
+        );
+        if out.is_err() {
+            client_state.stats.note_failure();
+        }
+        out
+    };
 
     let ring = match (&client_state.ring, client_state.remote) {
-        (Some(r), false) => Arc::clone(r),
+        (Some(r), false) => r,
         _ => {
             // No ring to batch on: serial calls, one trap pair each.
             let mut results = Vec::with_capacity(n);
             let mut cpu_id = cpu_start;
             for (proc_index, args) in &requests {
-                let out = lrpc_call(
-                    rt,
-                    handle,
-                    client_state,
-                    cpu_id,
-                    thread,
-                    *proc_index,
-                    args,
-                    metered,
-                );
+                let out = serial(cpu_id, *proc_index, args);
                 if let Ok(o) = &out {
                     cpu_id = o.end_cpu;
-                } else {
-                    client_state.stats.note_failure();
                 }
                 results.push(out);
             }
@@ -1195,141 +694,74 @@ pub(crate) fn lrpc_call_batch(
         }
     };
 
-    let machine = Arc::clone(rt.kernel().machine());
-    let cost = *machine.cost();
-    let cpu = machine.cpu(cpu_start);
-    let mut batch_meter = if metered {
-        Meter::enabled()
-    } else {
-        Meter::disabled()
-    };
-    let trace = TraceId::next();
-    batch_meter.set_trace(trace);
-    let start = cpu.now();
-
-    let env = BatchEnv {
-        rt,
-        machine: &machine,
-        cost,
-        state: client_state,
-        ring: &ring,
-        cpu,
-        thread,
-        handle,
-        metered,
-        fault: rt.fault_plan(),
-        doorbell_site: format!("doorbell:{}", client_state.interface.name),
-    };
-    let ring_full_site = format!("ring-full:{}", client_state.interface.name);
-
-    let mut results: Vec<Option<Result<CallOutcome, CallError>>> = Vec::with_capacity(n);
+    let env = CallEnv::new(rt, handle, client_state, thread, metered);
+    let cpu = env.machine().cpu(cpu_start);
+    let mut results = Vec::with_capacity(n);
     results.resize_with(n, || None);
-    let mut pending: Vec<PendingCall> = Vec::new();
-    let mut doorbells = 0u64;
-    let mut traps = 0u64;
+    let mut batch = Batch {
+        env: &env,
+        ring,
+        cpu,
+        doorbell_site: format!("doorbell:{}", client_state.interface.name),
+        meter: env.meter(),
+        pending: Vec::new(),
+        results,
+        doorbells: 0,
+        traps: 0,
+        thread_dead: false,
+        seq: 0,
+    };
+    let start = cpu.now();
+    let ring_full_site = format!("ring-full:{}", client_state.interface.name);
     let mut degraded = 0u64;
-    let mut thread_dead = false;
-    let mut seq = 0u32;
 
+    // Once the calling thread is destroyed, the remaining requests are
+    // never made; their results stay unset and read as call-failed.
     for (index, (proc_index, args)) in requests.iter().enumerate() {
-        if thread_dead {
-            results[index] = Some(Err(CallError::CallFailed));
+        if batch.thread_dead {
             continue;
         }
         // Fault injection: the submission ring is presented as full and
         // this call degrades gracefully to a single-call trap. The real
         // full condition flushes and retries — no degradation needed.
         let full_injected = matches!(&env.fault, Some(p) if p.ring_full(&ring_full_site));
-        if full_injected || env.ring.is_full() {
-            flush(
-                &env,
-                &mut batch_meter,
-                &mut pending,
-                &mut results,
-                &mut doorbells,
-                &mut traps,
-                &mut thread_dead,
-            );
-            if thread_dead {
-                results[index] = Some(Err(CallError::CallFailed));
+        if full_injected || ring.is_full() {
+            batch.flush();
+            if batch.thread_dead {
                 continue;
             }
             if full_injected {
                 degraded += 1;
-                let out = lrpc_call(
-                    rt,
-                    handle,
-                    client_state,
-                    cpu.id(),
-                    thread,
-                    *proc_index,
-                    args,
-                    metered,
-                );
-                if out.is_err() {
-                    client_state.stats.note_failure();
-                }
-                results[index] = Some(out);
+                batch.results[index] = Some(serial(cpu.id(), *proc_index, args));
                 continue;
             }
         }
-        match enqueue_one(&env, &mut batch_meter, index, *proc_index, args, seq) {
-            Ok(pc) => {
-                seq = seq.wrapping_add(1);
-                pending.push(pc);
+        let mut queued = batch.enqueue(index, *proc_index, args);
+        if matches!(queued, Err(CallError::NoAStacks)) && !batch.pending.is_empty() {
+            // The batch itself is holding the class's A-stacks: flush to
+            // release them, then retry once.
+            batch.flush();
+            if batch.thread_dead {
+                continue;
             }
-            Err(CallError::NoAStacks) if !pending.is_empty() => {
-                // The batch itself is holding the class's A-stacks:
-                // flush to release them, then retry once.
-                flush(
-                    &env,
-                    &mut batch_meter,
-                    &mut pending,
-                    &mut results,
-                    &mut doorbells,
-                    &mut traps,
-                    &mut thread_dead,
-                );
-                if thread_dead {
-                    results[index] = Some(Err(CallError::CallFailed));
-                    continue;
-                }
-                match enqueue_one(&env, &mut batch_meter, index, *proc_index, args, seq) {
-                    Ok(pc) => {
-                        seq = seq.wrapping_add(1);
-                        pending.push(pc);
-                    }
-                    Err(e) => {
-                        client_state.stats.note_failure();
-                        results[index] = Some(Err(e));
-                    }
-                }
-            }
-            Err(e) => {
-                client_state.stats.note_failure();
-                results[index] = Some(Err(e));
-            }
+            queued = batch.enqueue(index, *proc_index, args);
+        }
+        if let Err(e) = queued {
+            client_state.stats.note_failure();
+            batch.results[index] = Some(Err(e));
         }
     }
-    flush(
-        &env,
-        &mut batch_meter,
-        &mut pending,
-        &mut results,
-        &mut doorbells,
-        &mut traps,
-        &mut thread_dead,
-    );
+    batch.flush();
 
-    let results: Vec<Result<CallOutcome, CallError>> = results
-        .into_iter()
-        .map(|r| r.unwrap_or(Err(CallError::CallFailed)))
-        .collect();
     Ok(BatchOutcome {
-        results,
-        batch_meter,
-        doorbells,
-        traps,
+        results: batch
+            .results
+            .into_iter()
+            .map(|r| r.unwrap_or(Err(CallError::CallFailed)))
+            .collect(),
+        batch_meter: batch.meter,
+        doorbells: batch.doorbells,
+        traps: batch.traps,
         degraded,
         elapsed: cpu.now() - start,
         end_cpu: cpu.id(),
@@ -1506,7 +938,7 @@ impl Binding {
 mod tests {
     use super::*;
     use crate::runtime::TestRuntime;
-    use crate::{Handler, LrpcRuntime};
+    use crate::{Handler, LrpcRuntime, Reply, ServerCtx};
     use firefly::cpu::Machine;
 
     fn env() -> (Arc<LrpcRuntime>, Arc<Thread>, Binding) {

@@ -284,6 +284,16 @@ pub fn snapshot() -> Vec<SpanRecord> {
     spans
 }
 
+/// Like [`snapshot`], restricted to the calling thread's ring. A capture
+/// whose calls all run on this thread sees none of the spans other
+/// threads record meanwhile, even ones whose trace ids fall inside its
+/// watermarks.
+pub fn snapshot_this_thread() -> Vec<SpanRecord> {
+    let mut spans = THREAD_RING.with(|cell| cell.get().map(|r| r.read_all()).unwrap_or_default());
+    spans.sort_by_key(|s| (s.start_ns, s.trace, s.phase));
+    spans
+}
+
 /// Total spans ever pushed across every registered ring (including ones
 /// since overwritten or read).
 pub fn pushed_total() -> u64 {

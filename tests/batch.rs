@@ -23,7 +23,8 @@ use idl::wire::Value;
 use kernel::kernel::Kernel;
 use kernel::Domain;
 use lrpc::{
-    AStackPolicy, Binding, CallOutcome, Handler, LrpcRuntime, Reply, RuntimeConfig, ServerCtx,
+    AStackPolicy, Binding, CallError, CallOutcome, Handler, LrpcRuntime, Reply, RuntimeConfig,
+    ServerCtx,
 };
 use proptest::prelude::*;
 
@@ -228,6 +229,44 @@ fn batched_callers_degrade_gracefully_under_ring_faults() {
     assert_eq!(clean.degraded, 0);
     assert_eq!(clean.doorbells, 1);
     assert_eq!(clean.traps, 2);
+    assert_no_leaks(&rt, &server, &binding);
+}
+
+#[test]
+fn mid_batch_termination_fails_the_rest_of_the_batch_without_leaks() {
+    // The third dispatch terminates the server's domain from inside its
+    // procedure. Liveness is checked once, at the doorbell crossing, so
+    // the calls still queued behind it are not re-checked: termination
+    // unmaps the server's protection context, their descriptor drains
+    // fail, and they report call-failed without reaching the server.
+    let (rt, server, binding, thread) = make_env();
+    let plan = FaultPlan::new(FaultConfig {
+        terminate_server_after: 3,
+        ..FaultConfig::with_seed(0x7E53)
+    });
+    rt.set_fault_plan(Some(Arc::clone(&plan)));
+
+    let requests: Vec<(usize, Vec<Value>)> = (0..6).map(|i| request(0, i)).collect();
+    let out = binding.call_batch(0, &thread, requests).unwrap();
+    assert_eq!(out.results.len(), 6);
+    assert!(
+        out.results.iter().all(Result::is_err),
+        "no call of a batch whose server died returns normally"
+    );
+    for (i, r) in out.results.iter().enumerate().skip(3) {
+        assert!(
+            matches!(r, Err(CallError::CallFailed)),
+            "call {i} queued behind the termination: {r:?}"
+        );
+    }
+    assert_eq!(
+        plan.events()
+            .iter()
+            .filter(|e| e.kind == FaultKind::ServerTerminated)
+            .count(),
+        1
+    );
+    assert_eq!(thread.call_depth(), 0);
     assert_no_leaks(&rt, &server, &binding);
 }
 

@@ -17,10 +17,11 @@ use firefly::cpu::Machine;
 use firefly::fault::{FaultConfig, FaultKind, FaultPlan};
 use idl::wire::Value;
 use kernel::kernel::Kernel;
+use kernel::thread::Thread;
 use kernel::Domain;
 use lrpc::{
-    AStackPolicy, Binding, BreakerConfig, BreakerState, CallError, Handler, LrpcRuntime,
-    RecoveryConfig, Reply, ResilientClient, RetryPolicy, RuntimeConfig, ServerCtx,
+    AStackPolicy, Binding, BreakerConfig, BreakerState, CallError, CallOutcome, Handler,
+    LrpcRuntime, RecoveryConfig, Reply, ResilientClient, RetryPolicy, RuntimeConfig, ServerCtx,
 };
 use workload::trace::{CallTrace, TraceModel};
 
@@ -130,6 +131,10 @@ fn assert_no_leaks(rt: &Arc<LrpcRuntime>, server: &Arc<Domain>, binding: &Bindin
         0,
         "no thread may remain inside an LRPC"
     );
+    if let Some(ring) = &binding.state().ring {
+        assert_eq!(ring.occupancy_now(), 0, "ring slot leaked");
+        assert!(!ring.doorbell().is_pending(), "doorbell left armed");
+    }
 }
 
 #[test]
@@ -396,85 +401,120 @@ fn hung_server_calls_abort_on_deadline_and_drain_cleanly() {
     assert_eq!(out.ret, Some(Value::Int32(42)));
 }
 
-#[test]
-fn forged_binding_objects_are_rejected_by_the_kernel() {
-    let (rt, server) = make_runtime(chaos_config());
-    let plan = FaultPlan::new(FaultConfig {
-        forge_binding_every: 3,
-        ..FaultConfig::with_seed(5)
-    });
-    rt.set_fault_plan(Some(Arc::clone(&plan)));
-    let app = rt.kernel().create_domain("app");
-    let thread = rt.kernel().spawn_thread(&app);
-    let binding = rt.import(&app, "Chaos").unwrap();
-    let (mut ok, mut rejected) = (0, 0);
-    for i in 1..=9 {
-        match binding.call(0, &thread, "Stat", &[]) {
-            Ok(_) => ok += 1,
-            Err(CallError::InvalidBinding(_)) => {
-                assert_eq!(i % 3, 0, "only every 3rd call presents a forgery");
-                rejected += 1;
-            }
-            Err(other) => panic!("unexpected error: {other}"),
+/// The two call paths every fault site must reach: the serial `call`, and
+/// `call_batch` crossing by doorbell (one request per batch, so each
+/// call's fault draws line up with the serial path's).
+#[derive(Clone, Copy, Debug)]
+enum Path {
+    Serial,
+    Batch,
+}
+
+const PATHS: [Path; 2] = [Path::Serial, Path::Batch];
+
+fn call_on(
+    path: Path,
+    binding: &Binding,
+    thread: &Arc<Thread>,
+    proc: &str,
+    args: &[Value],
+) -> Result<CallOutcome, CallError> {
+    match path {
+        Path::Serial => binding.call(0, thread, proc, args),
+        Path::Batch => {
+            let index = binding.proc_index(proc)?;
+            let mut out = binding.call_batch(0, thread, vec![(index, args.to_vec())])?;
+            assert_eq!(out.degraded, 0, "the call must cross by doorbell");
+            out.results.pop().expect("one result per request")
         }
     }
-    assert_eq!((ok, rejected), (6, 3));
-    assert_eq!(
-        plan.events()
-            .iter()
-            .filter(|e| e.kind == FaultKind::BindingForged)
-            .count(),
-        3
-    );
-    // The genuine Binding Object was never corrupted.
-    binding.call(0, &thread, "Stat", &[]).unwrap();
-    assert_no_leaks(&rt, &server, &binding);
+}
+
+#[test]
+fn forged_binding_objects_are_rejected_by_the_kernel() {
+    for path in PATHS {
+        let (rt, server) = make_runtime(chaos_config());
+        let plan = FaultPlan::new(FaultConfig {
+            forge_binding_every: 3,
+            ..FaultConfig::with_seed(5)
+        });
+        rt.set_fault_plan(Some(Arc::clone(&plan)));
+        let app = rt.kernel().create_domain("app");
+        let thread = rt.kernel().spawn_thread(&app);
+        let binding = rt.import(&app, "Chaos").unwrap();
+        let (mut ok, mut rejected) = (0, 0);
+        for i in 1..=9 {
+            match call_on(path, &binding, &thread, "Stat", &[]) {
+                Ok(_) => ok += 1,
+                Err(CallError::InvalidBinding(_)) => {
+                    assert_eq!(i % 3, 0, "{path:?}: only every 3rd call presents a forgery");
+                    rejected += 1;
+                }
+                Err(other) => panic!("{path:?}: unexpected error: {other}"),
+            }
+        }
+        assert_eq!((ok, rejected), (6, 3), "{path:?}");
+        assert_eq!(
+            plan.events()
+                .iter()
+                .filter(|e| e.kind == FaultKind::BindingForged)
+                .count(),
+            3,
+            "{path:?}"
+        );
+        // The genuine Binding Object was never corrupted.
+        call_on(path, &binding, &thread, "Stat", &[]).unwrap();
+        assert_no_leaks(&rt, &server, &binding);
+    }
 }
 
 #[test]
 fn astack_exhaustion_respects_the_configured_policy() {
-    // Under Fail, the injected exhaustion surfaces as NoAStacks and the
-    // stolen stacks all return to the queue.
-    let (rt, server) = make_runtime(chaos_config());
-    let plan = FaultPlan::new(FaultConfig {
-        astack_exhaust: true,
-        ..FaultConfig::with_seed(6)
-    });
-    rt.set_fault_plan(Some(plan));
-    let app = rt.kernel().create_domain("app");
-    let thread = rt.kernel().spawn_thread(&app);
-    let binding = rt.import(&app, "Chaos").unwrap();
-    for _ in 0..5 {
-        assert!(matches!(
-            binding.call(0, &thread, "Stat", &[]),
-            Err(CallError::NoAStacks)
-        ));
-    }
-    assert_no_leaks(&rt, &server, &binding);
+    for path in PATHS {
+        // Under Fail, the injected exhaustion surfaces as NoAStacks and
+        // the stolen stacks all return to the queue.
+        let (rt, server) = make_runtime(chaos_config());
+        let plan = FaultPlan::new(FaultConfig {
+            astack_exhaust: true,
+            ..FaultConfig::with_seed(6)
+        });
+        rt.set_fault_plan(Some(plan));
+        let app = rt.kernel().create_domain("app");
+        let thread = rt.kernel().spawn_thread(&app);
+        let binding = rt.import(&app, "Chaos").unwrap();
+        for _ in 0..5 {
+            let out = call_on(path, &binding, &thread, "Stat", &[]);
+            assert!(
+                matches!(out, Err(CallError::NoAStacks)),
+                "{path:?}: expected NoAStacks, got {out:?}"
+            );
+        }
+        assert_no_leaks(&rt, &server, &binding);
 
-    // Under Grow, the same injection drives the overflow-allocation path
-    // instead: calls succeed on freshly grown A-stacks.
-    let (rt, server) = make_runtime(RuntimeConfig {
-        astack_policy: AStackPolicy::Grow,
-        ..chaos_config()
-    });
-    let plan = FaultPlan::new(FaultConfig {
-        astack_exhaust: true,
-        ..FaultConfig::with_seed(6)
-    });
-    rt.set_fault_plan(Some(plan));
-    let app = rt.kernel().create_domain("app");
-    let thread = rt.kernel().spawn_thread(&app);
-    let binding = rt.import(&app, "Chaos").unwrap();
-    let before = binding.state().astacks.total_count();
-    for _ in 0..3 {
-        binding.call(0, &thread, "Stat", &[]).expect("grown call");
+        // Under Grow, the same injection drives the overflow-allocation
+        // path instead: calls succeed on freshly grown A-stacks.
+        let (rt, server) = make_runtime(RuntimeConfig {
+            astack_policy: AStackPolicy::Grow,
+            ..chaos_config()
+        });
+        let plan = FaultPlan::new(FaultConfig {
+            astack_exhaust: true,
+            ..FaultConfig::with_seed(6)
+        });
+        rt.set_fault_plan(Some(plan));
+        let app = rt.kernel().create_domain("app");
+        let thread = rt.kernel().spawn_thread(&app);
+        let binding = rt.import(&app, "Chaos").unwrap();
+        let before = binding.state().astacks.total_count();
+        for _ in 0..3 {
+            call_on(path, &binding, &thread, "Stat", &[]).expect("grown call");
+        }
+        assert!(
+            binding.state().astacks.total_count() > before,
+            "{path:?}: exhaustion under Grow allocates overflow A-stacks"
+        );
+        assert_no_leaks(&rt, &server, &binding);
     }
-    assert!(
-        binding.state().astacks.total_count() > before,
-        "exhaustion under Grow allocates overflow A-stacks"
-    );
-    assert_no_leaks(&rt, &server, &binding);
 }
 
 #[test]
@@ -485,73 +525,79 @@ fn bulk_arena_exhaustion_falls_back_to_per_call_segments_without_leaks() {
     // must *succeed* throughout (degraded, never broken), and the
     // region table must end exactly where it started — a fallback that
     // leaked its per-call segment would grow it monotonically.
-    let (rt, _chaos_server) = make_runtime(chaos_config());
-    let bulk_server = rt.kernel().create_domain("bulk-chaos-server");
-    rt.export(
-        &bulk_server,
-        "interface BulkChaos {\n\
-         procedure BigIn(data: in var bytes[65536] noninterpreted);\n\
-         }",
-        vec![Box::new(|_: &ServerCtx, args: &[Value]| {
-            let Value::Var(data) = &args[0] else {
-                unreachable!("stubs decoded the declared types")
-            };
-            assert_eq!(data.len(), 8 * 1024, "the payload crossed intact");
-            Ok(Reply::none())
-        }) as Handler],
-    )
-    .unwrap();
-    let plan = FaultPlan::new(FaultConfig {
-        bulk_exhaust: true,
-        ..FaultConfig::with_seed(9)
-    });
-    rt.set_fault_plan(Some(Arc::clone(&plan)));
-    let app = rt.kernel().create_domain("app");
-    let thread = rt.kernel().spawn_thread(&app);
-    let binding = rt.import(&app, "BulkChaos").unwrap();
-    let payload = vec![0x5au8; 8 * 1024];
+    for path in PATHS {
+        let (rt, _chaos_server) = make_runtime(chaos_config());
+        let bulk_server = rt.kernel().create_domain("bulk-chaos-server");
+        rt.export(
+            &bulk_server,
+            "interface BulkChaos {\n\
+             procedure BigIn(data: in var bytes[65536] noninterpreted);\n\
+             }",
+            vec![Box::new(|_: &ServerCtx, args: &[Value]| {
+                let Value::Var(data) = &args[0] else {
+                    unreachable!("stubs decoded the declared types")
+                };
+                assert_eq!(data.len(), 8 * 1024, "the payload crossed intact");
+                Ok(Reply::none())
+            }) as Handler],
+        )
+        .unwrap();
+        let plan = FaultPlan::new(FaultConfig {
+            bulk_exhaust: true,
+            ..FaultConfig::with_seed(9)
+        });
+        rt.set_fault_plan(Some(Arc::clone(&plan)));
+        let app = rt.kernel().create_domain("app");
+        let thread = rt.kernel().spawn_thread(&app);
+        let binding = rt.import(&app, "BulkChaos").unwrap();
+        let payload = vec![0x5au8; 8 * 1024];
+        let big_in = |payload: &[u8]| {
+            call_on(
+                path,
+                &binding,
+                &thread,
+                "BigIn",
+                &[Value::Var(payload.to_vec())],
+            )
+        };
 
-    // Warm up once so lazily pooled resources (the E-stack) exist before
-    // the region table is sampled.
-    binding
-        .call(0, &thread, "BigIn", &[Value::Var(payload.clone())])
-        .expect("warmup");
+        // Warm up once so lazily pooled resources (the E-stack) exist
+        // before the region table is sampled.
+        big_in(&payload).expect("warmup");
 
-    let regions_before = rt.kernel().machine().mem().region_count();
-    for i in 0..12 {
-        binding
-            .call(0, &thread, "BigIn", &[Value::Var(payload.clone())])
-            .unwrap_or_else(|e| panic!("fallback call {i} must still succeed: {e}"));
+        let regions_before = rt.kernel().machine().mem().region_count();
+        for i in 0..12 {
+            big_in(&payload)
+                .unwrap_or_else(|e| panic!("{path:?}: fallback call {i} must still succeed: {e}"));
+        }
+        let regions_after = rt.kernel().machine().mem().region_count();
+
+        assert_eq!(
+            regions_before, regions_after,
+            "{path:?}: every per-call OOB segment was unmapped and freed"
+        );
+        assert_eq!(
+            binding.state().stats.bulk_fallbacks(),
+            13,
+            "{path:?}: every call (warmup included) took the per-call fallback"
+        );
+        assert_eq!(
+            plan.events()
+                .iter()
+                .filter(|e| e.kind == FaultKind::BulkArenaExhausted)
+                .count(),
+            13,
+            "{path:?}: each fallback traces back to an injected exhaustion event"
+        );
+        assert_no_leaks(&rt, &bulk_server, &binding);
+
+        // Lifting the fault returns calls to the arena: the fallback
+        // counter stops moving.
+        rt.set_fault_plan(None);
+        big_in(&payload).expect("arena call after recovery");
+        assert_eq!(binding.state().stats.bulk_fallbacks(), 13, "{path:?}");
+        assert_no_leaks(&rt, &bulk_server, &binding);
     }
-    let regions_after = rt.kernel().machine().mem().region_count();
-
-    assert_eq!(
-        regions_before, regions_after,
-        "every per-call OOB segment was unmapped and freed"
-    );
-    assert_eq!(
-        binding.state().stats.bulk_fallbacks(),
-        13,
-        "every call (warmup included) took the per-call fallback"
-    );
-    assert_eq!(
-        plan.events()
-            .iter()
-            .filter(|e| e.kind == FaultKind::BulkArenaExhausted)
-            .count(),
-        13,
-        "each fallback traces back to an injected exhaustion event"
-    );
-    assert_no_leaks(&rt, &bulk_server, &binding);
-
-    // Lifting the fault returns calls to the arena: the fallback counter
-    // stops moving.
-    rt.set_fault_plan(None);
-    binding
-        .call(0, &thread, "BigIn", &[Value::Var(payload)])
-        .expect("arena call after recovery");
-    assert_eq!(binding.state().stats.bulk_fallbacks(), 13);
-    assert_no_leaks(&rt, &bulk_server, &binding);
 }
 
 #[test]

@@ -27,7 +27,10 @@ use idl::wire::Value;
 use lrpc::{Handler, LrpcRuntime, Reply, ServerCtx, TestRuntime};
 
 /// Serializes the tests that toggle the process-global flight recorder
-/// (within this test binary; other binaries are separate processes).
+/// (within this test binary; other binaries are separate processes) with
+/// the tests that count this thread's global locks or allocations: a call
+/// made while another test has the recorder on registers its thread's
+/// flight ring, which takes the ring-registry lock and allocates.
 static FLIGHT_TOGGLE: Mutex<()> = Mutex::new(());
 
 // ---------------------------------------------------------------------
@@ -92,6 +95,7 @@ fn null_env(domain_caching: bool) -> (Arc<LrpcRuntime>, Arc<kernel::Domain>, lrp
 
 #[test]
 fn steady_state_null_call_takes_zero_global_locks() {
+    let _serial = FLIGHT_TOGGLE.lock().unwrap();
     let (rt, client, binding) = null_env(false);
     let thread = rt.kernel().spawn_thread(&client);
     // Warm up: the first call may allocate an E-stack through the pool.
@@ -114,6 +118,7 @@ fn steady_state_null_call_takes_zero_global_locks() {
 
 #[test]
 fn metered_null_call_takes_zero_global_locks_too() {
+    let _serial = FLIGHT_TOGGLE.lock().unwrap();
     // Metering (per-phase virtual-time accounting) rides the same path
     // and must not smuggle a global lock back in.
     let (rt, client, binding) = null_env(false);
@@ -192,6 +197,7 @@ fn flight_breakdown_reproduces_table5_within_one_percent() {
 
 #[test]
 fn domain_caching_path_is_also_global_lock_free() {
+    let _serial = FLIGHT_TOGGLE.lock().unwrap();
     // With domain caching on, the call may additionally probe (and claim)
     // an idle processor; that probe is a single atomic exchange, not a
     // lock.
@@ -210,6 +216,7 @@ fn domain_caching_path_is_also_global_lock_free() {
 
 #[test]
 fn exchanged_multi_cpu_call_takes_zero_global_locks_and_allocations() {
+    let _serial = FLIGHT_TOGGLE.lock().unwrap();
     // The multi-CPU steady state the tail benchmark leans on: both domain
     // transfers ride the idle-processor exchange (Section 3.4) instead of
     // a context switch. The claim itself is a per-CPU atomic exchange and
@@ -249,6 +256,7 @@ fn exchanged_multi_cpu_call_takes_zero_global_locks_and_allocations() {
 
 #[test]
 fn steady_state_null_call_makes_zero_heap_allocations() {
+    let _serial = FLIGHT_TOGGLE.lock().unwrap();
     // The compiled copy plan executes the whole stub cycle with borrowed
     // slices and stack scratch: once the E-stack association and linkage
     // stack are warm, an unmetered Null call must not touch the heap at
@@ -274,6 +282,7 @@ fn steady_state_null_call_makes_zero_heap_allocations() {
 
 #[test]
 fn steady_state_fixed_arg_call_makes_zero_heap_allocations() {
+    let _serial = FLIGHT_TOGGLE.lock().unwrap();
     // Same contract with real argument traffic: two int32 in-params and
     // an int32 result ride the fused copy plan, the inline ArgVec and
     // stack scratch buffers end to end.
