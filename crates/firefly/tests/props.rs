@@ -1,5 +1,7 @@
 //! Property tests for the hardware substrate.
 
+use std::collections::{HashSet, VecDeque};
+
 use firefly::contention::{simulate_throughput, CallProfile, ResourceId, Seg};
 use firefly::cost::CostModel;
 use firefly::cpu::Machine;
@@ -101,6 +103,48 @@ proptest! {
         prop_assert_eq!(tlb.misses() - before, pages.len() as u64);
     }
 
+    #[test]
+    fn tlb_agrees_with_a_std_hashed_reference_model(
+        tagged in 0u8..2,
+        capacity in prop_oneof![Just(256usize), 1usize..=300],
+        span in 1u64..=400,
+        ops in proptest::collection::vec((0u8..20, 0u64..4, 1u64..=3, 0u64..400), 1..1500),
+    ) {
+        // Kinds 0..16 touch page `page % span` of a region in one of four
+        // contexts; 16..18 switch context, 18 flushes, 19 resets stats.
+        let mode = if tagged == 1 { TlbMode::Tagged } else { TlbMode::InvalidateOnSwitch };
+        let mut tlb = Tlb::new(mode, capacity);
+        let mut reference = RefTlb::new(mode, capacity);
+        for (i, &(kind, ctx, region, page)) in ops.iter().enumerate() {
+            match kind {
+                0..=15 => {
+                    let (ctx, page) = (
+                        ContextId(ctx),
+                        PageId::of(RegionId(region), (page % span) as usize * PAGE_SIZE),
+                    );
+                    prop_assert_eq!(tlb.touch(ctx, page), reference.touch(ctx, page), "op {}", i);
+                }
+                16 | 17 => {
+                    tlb.on_context_switch();
+                    reference.on_context_switch();
+                }
+                18 => {
+                    tlb.flush();
+                    reference.flush();
+                }
+                _ => {
+                    tlb.reset_stats();
+                    reference.reset_stats();
+                }
+            }
+            prop_assert_eq!(
+                (tlb.hits(), tlb.misses(), tlb.invalidations(), tlb.resident_count()),
+                (reference.hits, reference.misses, reference.invalidations, reference.resident.len()),
+                "op {}", i
+            );
+        }
+    }
+
     // ------------------------------------------------------------------
     // Contention conservation.
     // ------------------------------------------------------------------
@@ -130,6 +174,68 @@ proptest! {
         let min = report.per_cpu_calls.iter().min().copied().unwrap_or(0);
         let max = report.per_cpu_calls.iter().max().copied().unwrap_or(0);
         prop_assert!(max - min <= 1, "{:?}", report.per_cpu_calls);
+    }
+}
+
+/// Reference model of [`Tlb`]: its resident set and FIFO eviction logic
+/// over a std `HashSet` with the default (SipHash) hasher. `Tlb` hashes
+/// with `firefly::idhash`; set semantics must not depend on the hasher.
+struct RefTlb {
+    mode: TlbMode,
+    capacity: usize,
+    resident: HashSet<(ContextId, PageId)>,
+    order: VecDeque<(ContextId, PageId)>,
+    hits: u64,
+    misses: u64,
+    invalidations: u64,
+}
+
+impl RefTlb {
+    fn new(mode: TlbMode, capacity: usize) -> RefTlb {
+        RefTlb {
+            mode,
+            capacity: capacity.max(1),
+            resident: HashSet::new(),
+            order: VecDeque::new(),
+            hits: 0,
+            misses: 0,
+            invalidations: 0,
+        }
+    }
+
+    fn touch(&mut self, ctx: ContextId, page: PageId) -> bool {
+        let key = (ctx, page);
+        if self.resident.contains(&key) {
+            self.hits += 1;
+            return false;
+        }
+        self.misses += 1;
+        if self.resident.len() >= self.capacity {
+            if let Some(victim) = self.order.pop_front() {
+                self.resident.remove(&victim);
+            }
+        }
+        self.resident.insert(key);
+        self.order.push_back(key);
+        true
+    }
+
+    fn on_context_switch(&mut self) {
+        if self.mode == TlbMode::InvalidateOnSwitch {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        self.resident.clear();
+        self.order.clear();
+        self.invalidations += 1;
+    }
+
+    fn reset_stats(&mut self) {
+        self.hits = 0;
+        self.misses = 0;
+        self.invalidations = 0;
     }
 }
 
