@@ -5,7 +5,8 @@ use std::collections::{HashSet, VecDeque};
 use firefly::contention::{simulate_throughput, CallProfile, ResourceId, Seg};
 use firefly::cost::CostModel;
 use firefly::cpu::Machine;
-use firefly::mem::{PageId, RegionId, PAGE_SIZE};
+use firefly::error::MemFault;
+use firefly::mem::{PageId, PhysMem, RegionId, PAGE_SIZE};
 use firefly::meter::Meter;
 use firefly::time::Nanos;
 use firefly::tlb::{Tlb, TlbMode};
@@ -54,6 +55,85 @@ proptest! {
         let p2 = PageId::of(RegionId(r2), o2);
         let same = r1 == r2 && o1 / PAGE_SIZE == o2 / PAGE_SIZE;
         prop_assert_eq!(p1 == p2, same);
+    }
+
+    // ------------------------------------------------------------------
+    // Demand-zero regions.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn region_agrees_with_a_flat_byte_vector(
+        len in prop_oneof![
+            (1usize..=4).prop_map(|p| p * PAGE_SIZE),
+            1usize..=4 * PAGE_SIZE + 7,
+        ],
+        ops in proptest::collection::vec(
+            (0u8..11, 0u8..3, any::<u64>(), 0u8..3, any::<u64>(), any::<u8>()),
+            1..60,
+        ),
+    ) {
+        // Each op draws an offset (0: at a page boundary ±3, 1: anywhere up
+        // to a page past the end, 2: within 8 of usize::MAX) and a length
+        // (0: 0..=8, 1: up to two pages and a bit, 2: up to the region's
+        // length plus a page), then writes (kinds 0..4), reads through
+        // `read_raw` (4..7) or `read_vec` (7..9), or fills with zero (9)
+        // or a nonzero byte (10).
+        let mem = PhysMem::new();
+        let region = mem.alloc("differential", len);
+        let mut flat = vec![0u8; len];
+        for (i, &(kind, off_mode, off_draw, len_mode, len_draw, byte)) in ops.iter().enumerate() {
+            let offset = match off_mode {
+                0 => {
+                    let boundary = (off_draw as usize % (len / PAGE_SIZE + 2)) * PAGE_SIZE;
+                    (boundary + (off_draw >> 32) as usize % 7).saturating_sub(3)
+                }
+                1 => off_draw as usize % (len + PAGE_SIZE + 1),
+                _ => usize::MAX - off_draw as usize % 9,
+            };
+            let n = match len_mode {
+                0 => len_draw as usize % 9,
+                1 => len_draw as usize % (2 * PAGE_SIZE + 4),
+                _ => len_draw as usize % (len + PAGE_SIZE + 1),
+            };
+            let in_range = offset.checked_add(n).is_some_and(|end| end <= len);
+            let fault = MemFault::OutOfRange { region: region.id(), offset, len: n };
+            let expected = if in_range { Ok(()) } else { Err(fault) };
+            match kind {
+                0..=3 => {
+                    let data: Vec<u8> = (0..n).map(|j| byte.wrapping_add(j as u8)).collect();
+                    prop_assert_eq!(region.write_raw(offset, &data), expected, "op {}", i);
+                    if in_range {
+                        flat[offset..offset + n].copy_from_slice(&data);
+                    }
+                }
+                4..=6 => {
+                    let mut buf = vec![byte; n];
+                    prop_assert_eq!(region.read_raw(offset, &mut buf), expected, "op {}", i);
+                    if in_range {
+                        prop_assert_eq!(&buf[..], &flat[offset..offset + n], "op {}", i);
+                    }
+                }
+                7 | 8 => {
+                    let want = expected.map(|()| flat[offset..offset + n].to_vec());
+                    prop_assert_eq!(region.read_vec(offset, n), want, "op {}", i);
+                }
+                9 => {
+                    region.fill(0);
+                    flat.fill(0);
+                    prop_assert_eq!(region.resident_pages(), 0, "op {}", i);
+                }
+                _ => {
+                    let b = byte.max(1);
+                    region.fill(b);
+                    flat.fill(b);
+                    prop_assert_eq!(region.resident_pages(), region.page_count(), "op {}", i);
+                }
+            }
+            prop_assert_eq!(region.read_vec(0, len), Ok(flat.clone()), "op {}", i);
+            prop_assert!(region.resident_pages() <= region.page_count());
+        }
+        prop_assert_eq!(region.len(), len);
+        prop_assert_eq!(mem.resident_bytes(), region.resident_pages() * PAGE_SIZE);
     }
 
     // ------------------------------------------------------------------

@@ -246,6 +246,7 @@ impl Kernel {
             threads_in_calls: threads.iter().filter(|t| t.in_lrpc()).count(),
             regions: self.machine.mem().region_count(),
             allocated_bytes: self.machine.mem().allocated_bytes(),
+            resident_bytes: self.machine.mem().resident_bytes(),
         }
     }
 
@@ -292,18 +293,22 @@ pub struct KernelSnapshot {
     pub regions: usize,
     /// Total simulated bytes allocated.
     pub allocated_bytes: usize,
+    /// Host bytes backing the pages written so far (regions are
+    /// demand-zero; see [`firefly::mem`]).
+    pub resident_bytes: usize,
 }
 
 impl core::fmt::Display for KernelSnapshot {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         writeln!(
             f,
-            "{} domain(s), {} thread(s) ({} in calls), {} region(s), {} bytes",
+            "{} domain(s), {} thread(s) ({} in calls), {} region(s), {} bytes ({} resident)",
             self.domains.len(),
             self.threads,
             self.threads_in_calls,
             self.regions,
-            self.allocated_bytes
+            self.allocated_bytes,
+            self.resident_bytes
         )?;
         for d in &self.domains {
             writeln!(
@@ -471,6 +476,7 @@ mod tests {
         let printed = snap.to_string();
         assert!(printed.contains("2 domain(s)"));
         assert!(printed.contains("in calls"));
+        assert!(printed.contains(&format!("({} resident)", snap.resident_bytes)));
     }
 
     #[test]

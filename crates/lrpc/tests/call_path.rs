@@ -149,6 +149,58 @@ fn results_and_out_parameters_roundtrip() {
 }
 
 #[test]
+fn binding_memory_is_demand_zero_and_steady_calls_do_not_grow_it() {
+    let env = setup_serial();
+    let mem = env.rt.kernel().machine().mem();
+    let touch = &env.binding.state().touch;
+    let touch_sets = [
+        touch.client_call(),
+        touch.kernel_call(),
+        touch.server_side(),
+        touch.kernel_return(),
+        touch.client_return(),
+    ];
+    // The touch plan's regions only give the TLB model page ids; nothing
+    // ever writes them, so none of their pages is resident.
+    let touch_resident = || -> usize {
+        touch_sets
+            .iter()
+            .flat_map(|set| set.iter())
+            .map(|page| {
+                let region = mem.get(page.region()).expect("touch region is live");
+                region.resident_pages()
+            })
+            .sum()
+    };
+    assert_eq!(touch_resident(), 0, "a fresh import wrote a touch page");
+
+    let payload = [Value::Bytes(vec![0x5A; 200])];
+    let round = || {
+        env.binding.call(0, &env.thread, "Null", &[]).unwrap();
+        env.binding
+            .call(0, &env.thread, "BigInOut", &payload)
+            .unwrap();
+    };
+    // Warm-up: the first calls write the A-stack, frame headers and the
+    // lazily associated E-stack, which makes those pages resident once.
+    for _ in 0..2 {
+        round();
+    }
+    let warm = mem.resident_bytes();
+    assert!(warm > 0);
+    assert!(warm < mem.allocated_bytes());
+    for _ in 0..500 {
+        round();
+    }
+    assert_eq!(
+        mem.resident_bytes(),
+        warm,
+        "1,000 steady calls grew resident memory"
+    );
+    assert_eq!(touch_resident(), 0, "a call wrote a touch page");
+}
+
+#[test]
 fn idle_processor_optimization_cuts_null_to_125_microseconds() {
     let env = setup_with(TestRuntime::new().cpus(2).domain_caching(true));
     // Park CPU 1 idling in the server's context (the scheduler would do

@@ -593,7 +593,10 @@ pub mod prelude {
 }
 
 /// Defines property tests. Each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` running the body over generated inputs.
+/// becomes a function running the body over generated inputs. As with
+/// upstream `proptest`, the function's attributes are kept as written, so
+/// each property carries its own `#[test]`; the macro adds none, or the
+/// harness would register (and run) every property twice.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($config:expr)] $($rest:tt)*) => {
@@ -612,7 +615,6 @@ macro_rules! proptest {
 macro_rules! __proptest_impl {
     (config = $config:expr; $(#[$meta:meta])* fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block $($rest:tt)*) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let __config = $config;
             $crate::test_runner::run_cases(&__config, stringify!($name), |__rng| {
@@ -750,6 +752,7 @@ mod tests {
 
         /// The macro itself: destructuring patterns, multiple bindings,
         /// oneof, and the assert forms.
+        #[test]
         fn macro_roundtrip((a, b) in (0u32..10, 0u32..10), flag in any::<bool>(),
                            pick in prop_oneof![Just(1u8), Just(2), Just(3)]) {
             prop_assert!(a < 10 && b < 10);
